@@ -733,8 +733,10 @@ let link_section () =
         | Error e -> Fmt.failwith "build %s: %s" name e)
       Corpus.link_module_srcs
   in
-  let entries = [ "f" ] in
-  let link ~jobs () =
+  (* one thread, then two: with two threads the confinement check
+     explores the interleavings of both entries *)
+  let one = [ "f" ] and two = [ "f"; "h" ] in
+  let link ~entries ~jobs () =
     match Linker.link ~certify:true ~jobs ~entries objs with
     | Ok o -> o
     | Error e -> Fmt.failwith "link: %a" Linker.pp_error e
@@ -742,13 +744,13 @@ let link_section () =
   (* best-of-N minimum, as in the diag section: the link is deterministic
      and these runs are short enough for GC noise to dominate a mean *)
   let rounds = 9 in
-  let measure ~case ~jobs ~cold =
+  let measure ~case ?(entries = one) ~jobs ~cold () =
     let best = ref infinity and last = ref None in
-    if not cold then ignore (link ~jobs ());
+    if not cold then ignore (link ~entries ~jobs ());
     for _ = 1 to rounds do
       if cold then Cas_compiler.Cache.clear_memory ();
       let t0 = Unix.gettimeofday () in
-      let o = link ~jobs () in
+      let o = link ~entries ~jobs () in
       let dt = (Unix.gettimeofday () -. t0) *. 1e9 in
       if dt < !best then best := dt;
       last := Some o
@@ -764,21 +766,28 @@ let link_section () =
       pp_ns !best s.Linker.l_verdicts s.Linker.l_cached
       s.Linker.l_checker_steps
   in
-  Fmt.pr "%d objects, entries [%a] (best of %d):@." (List.length objs)
+  Fmt.pr "%d objects, entries [%a] or [%a] (best of %d):@." (List.length objs)
     Fmt.(list ~sep:comma string)
-    entries rounds;
-  measure ~case:"cold" ~jobs:1 ~cold:true;
-  measure ~case:"incremental" ~jobs:1 ~cold:false;
+    one
+    Fmt.(list ~sep:comma string)
+    two rounds;
+  measure ~case:"cold" ~jobs:1 ~cold:true ();
+  measure ~case:"incremental" ~jobs:1 ~cold:false ();
   let jobs = max 2 (Cas_base.Pool.default_jobs ()) in
-  measure ~case:(Fmt.str "cold-jobs-%d" jobs) ~jobs ~cold:true;
+  measure ~case:(Fmt.str "cold-jobs-%d" jobs) ~jobs ~cold:true ();
+  measure ~case:"cold-2-threads" ~entries:two ~jobs:1 ~cold:true ();
+  measure ~case:"incremental-2-threads" ~entries:two ~jobs:1 ~cold:false ();
   (* an incremental relink must re-verify nothing *)
-  (match List.assoc_opt "incremental" (List.rev_map (fun (c, _, v, ca, st) -> (c, (v, ca, st))) !json_link) with
-  | Some (v, cached, steps) when cached = v && steps = 0 -> ()
-  | Some (v, cached, steps) ->
-    Fmt.failwith
-      "incremental relink re-verified: %d/%d cached, %d checker steps" cached
-      v steps
-  | None -> ())
+  List.iter
+    (fun case ->
+      match List.assoc_opt case (List.rev_map (fun (c, _, v, ca, st) -> (c, (v, ca, st))) !json_link) with
+      | Some (v, cached, steps) when cached = v && steps = 0 -> ()
+      | Some (v, cached, steps) ->
+        Fmt.failwith
+          "%s relink re-verified: %d/%d cached, %d checker steps" case cached
+          v steps
+      | None -> ())
+    [ "incremental"; "incremental-2-threads" ]
 
 (* ------------------------------------------------------------------ *)
 (* recert: function-granular recertification after a one-function edit *)

@@ -17,6 +17,15 @@
     reachability, race predictions — all [cur]-independent), which the
     differential tests in [test/test_mc.ml] exercise.
 
+    The link-time confinement check ([Framework.check_confinement]) also
+    explores the selection view, on the naive engine: its verdict does
+    not read [cur], and the [cur]-free projection of the preemptive
+    view's reachable worlds is exactly the selection view's reachable
+    set, so keying by [World.key_nocur] visits each state once instead of
+    once per choice of [cur] ([test/test_link.ml] checks both sets are
+    equal). It takes raw per-step footprints from [thread_trans], not the
+    atomic-block summaries of [selection_system].
+
     The non-preemptive semantics intentionally stays naive-only: an np
     world steps only through the region of its one current thread, so
     per-state scheduling choice — the branching DPOR prunes — is already
@@ -66,10 +75,33 @@ let atomic_block_fp (w : World.t) tid ~bound : Footprint.t =
   in
   go w Footprint.empty bound
 
+(** Thread [tid]'s enabled local steps in [w] as selection-view
+    transitions carrying their raw per-step footprints. Successor worlds
+    keep [cur] pointing at the scheduled thread so world-predicates that
+    read it behave as in the preemptive view (the state key ignores it).
+    Both [selection_system] and the link-time confinement check
+    ([Framework.check_confinement]) enumerate steps through this. *)
+let thread_trans (w : World.t) tid : World.t Cas_mc.Mcsys.trans list =
+  List.map
+    (function
+      | World.LAbort ->
+        {
+          Cas_mc.Mcsys.tid;
+          label = Cas_mc.Mcsys.Ltau;
+          fp = Footprint.empty;
+          target = Cas_mc.Mcsys.Abort;
+        }
+      | World.LNext (msg, fp, w') ->
+        {
+          Cas_mc.Mcsys.tid;
+          label = label_of_msg msg;
+          fp;
+          target = Cas_mc.Mcsys.Next { w' with World.cur = tid };
+        })
+    (World.local_steps w tid)
+
 (** The preemptive semantics as a footprint-instrumented selection
-    system. Successor worlds keep [cur] pointing at the scheduled thread
-    so world-predicates that read it behave as in the preemptive view
-    (the fingerprint ignores it).
+    system: the transitions of every [schedulable] thread.
 
     Atomic blocks are summarized at their entry: the [EntAtom] transition
     carries the accumulated footprint of the whole block (bounded as in
@@ -91,32 +123,22 @@ let selection_system : World.t Cas_mc.Mcsys.t =
           (fun tid ->
             let in_block = World.dbit w tid in
             List.map
-              (fun s ->
-                match s with
-                | World.LAbort ->
-                  {
-                    Cas_mc.Mcsys.tid;
-                    label = Cas_mc.Mcsys.Ltau;
-                    fp = Footprint.empty;
-                    target = Cas_mc.Mcsys.Abort;
-                  }
-                | World.LNext (msg, fp, w') ->
-                  let fp =
-                    if in_block then Footprint.empty
-                    else
-                      match msg with
-                      | Msg.EntAtom ->
-                        Footprint.union fp
-                          (atomic_block_fp w' tid ~bound:1000)
-                      | _ -> fp
-                  in
-                  {
-                    Cas_mc.Mcsys.tid;
-                    label = label_of_msg msg;
-                    fp;
-                    target = Cas_mc.Mcsys.Next { w' with World.cur = tid };
-                  })
-              (World.local_steps w tid))
+              (fun (tr : World.t Cas_mc.Mcsys.trans) ->
+                match tr.Cas_mc.Mcsys.target with
+                | Cas_mc.Mcsys.Abort -> tr
+                | Cas_mc.Mcsys.Next _ when in_block ->
+                  { tr with Cas_mc.Mcsys.fp = Footprint.empty }
+                | Cas_mc.Mcsys.Next w' ->
+                  if World.dbit w' tid then
+                    (* the step entered an atomic block *)
+                    {
+                      tr with
+                      Cas_mc.Mcsys.fp =
+                        Footprint.union tr.Cas_mc.Mcsys.fp
+                          (atomic_block_fp w' tid ~bound:1000);
+                    }
+                  else tr)
+              (thread_trans w tid))
           (schedulable w));
   }
 

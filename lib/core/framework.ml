@@ -332,10 +332,11 @@ let pp_compose_module ppf r =
 
     - [comp_modules]: each module's simulation re-validated (or reused
       from the certificate cache when the object is byte-identical);
-    - [comp_confinement]: every step of every reachable world of the
-      linked target touches only shared globals and the scheduled
-      thread's freelist — the disjointness premise that makes the
-      per-module footprints composable;
+    - [comp_confinement]: every enabled step of every live thread in
+      every reachable world of the linked target (preemptive) touches
+      only shared globals and that thread's own freelist — the
+      disjointness premise that makes the per-module footprints
+      composable;
     - [comp_boundary]: the composed simulation itself, re-validated by
       co-executing the linked source and target programs and comparing
       their bounded trace sets (target ⊑ source, non-preemptive — the
@@ -358,10 +359,50 @@ let pp_compose ppf r =
 let link_verdicts : Simulation.verdict Cas_compiler.Cache.store =
   Cas_compiler.Cache.store ~name:"LinkVerdict" ()
 
-(** Footprint confinement of the linked program: explore the reachable
-    worlds (preemptive, bounded by [max_worlds]) and verify that every
-    enabled local step's footprint stays inside the shared global blocks
-    plus the scheduled thread's own freelist. *)
+(** The linked program's thread-selection view ([Engine.thread_trans]
+    keyed by [World.key_nocur]) with the confinement premise checked
+    inside [trans]: at each world [w], every live thread's enabled local
+    steps are enumerated once, and [escape w tid fp] fires for each step
+    of thread [tid] whose raw footprint [fp] leaves the shared global
+    blocks (ids below [nglobals]) and [tid]'s own freelist. Only
+    [Engine.schedulable] threads' steps become successors, but every live
+    thread's steps are checked, also while another thread's atomic block
+    keeps it from being scheduled: confinement is a property of each
+    thread's enabled local steps, not of the schedule. *)
+let confinement_system ~nglobals
+    ~(escape : World.t -> int -> Footprint.t -> unit) : World.t Cas_mc.Mcsys.t =
+  {
+    Cas_mc.Mcsys.fingerprint = World.key_nocur;
+    all_done = World.all_done;
+    trans =
+      (fun w ->
+        let schedulable = Engine.schedulable w in
+        List.concat_map
+          (fun tid ->
+            let flist = (World.IMap.find tid w.World.threads).World.flist in
+            let trs = Engine.thread_trans w tid in
+            List.iter
+              (fun (tr : World.t Cas_mc.Mcsys.trans) ->
+                if
+                  not
+                    (Addr.Set.for_all
+                       (fun (a : Addr.t) ->
+                         a.Addr.block < nglobals || Flist.owns_addr flist a)
+                       (Footprint.locs tr.Cas_mc.Mcsys.fp))
+                then escape w tid tr.Cas_mc.Mcsys.fp)
+              trs;
+            if List.mem tid schedulable then trs else [])
+          (World.live_tids w));
+  }
+
+(** Footprint confinement of the linked program: explore its reachable
+    states (preemptive, bounded by [max_worlds] [cur]-free states) and
+    verify that every enabled local step of every live thread stays
+    inside the shared global blocks plus that thread's own freelist. The
+    verdict does not depend on which thread the scheduler holds, so the
+    exploration runs on the selection view ([confinement_system]), whose
+    reachable states are the [cur]-free projection of the preemptive
+    view's. *)
 let check_confinement ?(max_worlds = default_bounds.max_worlds)
     (tgt : Lang.prog) : step_report =
   let label = "footprints confined to freelists" in
@@ -373,37 +414,19 @@ let check_confinement ?(max_worlds = default_bounds.max_worlds)
       ok = false;
       detail = Fmt.str "target loads: %a" World.pp_load_error e;
     }
-  | Ok w0 ->
-    let nglobals = Genv.block_count w0.World.genv in
+  | Ok w0 -> (
     let violation = ref None in
-    let check_world w =
-      if !violation = None then
-        List.iter
-          (fun tid ->
-            match World.IMap.find_opt tid w.World.threads with
-            | None -> ()
-            | Some t ->
-              List.iter
-                (function
-                  | World.LAbort -> ()
-                  | World.LNext (_, fp, _) ->
-                    let confined =
-                      Addr.Set.for_all
-                        (fun (a : Addr.t) ->
-                          a.Addr.block < nglobals
-                          || Flist.owns_addr t.World.flist a)
-                        (Footprint.locs fp)
-                    in
-                    if (not confined) && !violation = None then
-                      violation := Some (tid, fp))
-                (World.local_steps w tid))
-          (World.live_tids w)
+    let escape _ tid fp =
+      if !violation = None then violation := Some (tid, fp)
+    in
+    let sys =
+      confinement_system ~nglobals:(Genv.block_count w0.World.genv) ~escape
     in
     let st =
-      Explore.reachable ~max_worlds Preemptive.steps (Gsem.initials w0)
-        ~visit:check_world
+      Explore.stats_of_mc
+        (Cas_mc.Naive.reachable ~max_worlds sys [ w0 ] ~visit:ignore)
     in
-    (match !violation with
+    match !violation with
     | Some (tid, fp) ->
       {
         id = "conf";

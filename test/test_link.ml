@@ -458,6 +458,140 @@ let test_certify_rejects_forged_verdict () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "pristine object fails verify: %s" e)
 
+(* ------------------------------------------------------------------ *)
+(* Confinement: selection view vs scheduler-explicit reference         *)
+(* ------------------------------------------------------------------ *)
+
+module Fw = Cascompcert.Framework
+module World = Cas_conc.World
+module KSet = Set.Make (String)
+
+let target ~clients ?(objects = []) entries =
+  Fw.target_prog { Fw.name = "conf"; clients; objects; entries }
+
+(* Three threads contending for γ_lock (an atomic block), with a local
+   whose address is taken so each thread's stack frame lives in its
+   freelist. *)
+let lock3 =
+  target
+    ~clients:
+      [
+        Parse.clight
+          {| int x = 0;
+             void inc() {
+               int a; lock(); a = x; x = a + 1; unlock(); print(a);
+             } |};
+      ]
+    ~objects:[ Cimp.gamma_lock () ]
+    [ "inc"; "inc"; "inc" ]
+
+(* t1 publishes the address of its local [x] through the global [p];
+   t2 writes through it — into thread 1's freelist. *)
+let escape_prog =
+  target
+    ~clients:
+      [
+        Parse.clight
+          {| int p = 0;
+             void t1() { int x; x = 0; p = &x; print(x); }
+             void t2() { int q; q = p; if (q != 0) { *q = 1; } } |};
+      ]
+    [ "t1"; "t2" ]
+
+let linked_programs () =
+  [
+    ("f;g", target ~clients:[ Parse.clight f_src; Parse.clight g_src ] [ "f" ]);
+    ( "f;g x2",
+      target ~clients:[ Parse.clight f_src; Parse.clight g_src ] [ "f"; "f" ] );
+    ("lock x3", lock3);
+    ("escape", escape_prog);
+  ]
+
+let escapes ~nglobals (w : World.t) tid fp =
+  let flist = (World.IMap.find tid w.World.threads).World.flist in
+  not
+    (Addr.Set.for_all
+       (fun (a : Addr.t) -> a.Addr.block < nglobals || Flist.owns_addr flist a)
+       (Footprint.locs fp))
+
+let escape_key w tid fp =
+  Fmt.str "%s|%d|%a" (World.key_nocur w) tid Footprint.pp fp
+
+(* Compare [Framework.confinement_system] (each [cur]-free state visited
+   once, checks inside [trans]) with a reference on the scheduler-explicit
+   preemptive view over [Gsem.initials] that checks every live thread's
+   local steps at every world: same states, same escaping steps (state,
+   thread, footprint), same abort flag. Returns whether the reference
+   found no escape. *)
+let compare_views ~name (w0 : World.t) nglobals =
+  let what fmt = Fmt.str ("%s (nglobals=%d): " ^^ fmt) name nglobals in
+  let ref_keys = ref KSet.empty and ref_esc = ref KSet.empty in
+  let ref_st =
+    Cas_conc.Explore.reachable Cas_conc.Preemptive.steps
+      (Cas_conc.Gsem.initials w0) ~visit:(fun w ->
+        ref_keys := KSet.add (World.key_nocur w) !ref_keys;
+        List.iter
+          (fun tid ->
+            List.iter
+              (function
+                | World.LAbort -> ()
+                | World.LNext (_, fp, _) ->
+                  if escapes ~nglobals w tid fp then
+                    ref_esc := KSet.add (escape_key w tid fp) !ref_esc)
+              (World.local_steps w tid))
+          (World.live_tids w))
+  in
+  let keys = ref KSet.empty and esc = ref KSet.empty and blocked = ref 0 in
+  let escape w tid fp =
+    esc := KSet.add (escape_key w tid fp) !esc;
+    if not (List.mem tid (Cas_conc.Engine.schedulable w)) then incr blocked
+  in
+  let st =
+    Cas_mc.Naive.reachable
+      (Fw.confinement_system ~nglobals ~escape)
+      [ w0 ]
+      ~visit:(fun w -> keys := KSet.add (World.key_nocur w) !keys)
+  in
+  check tbool (what "same cur-free states") true (KSet.equal !keys !ref_keys);
+  check tint (what "one visit per state") (KSet.cardinal !ref_keys)
+    st.Cas_mc.Stats.worlds;
+  check tbool (what "same escaping steps") true (KSet.equal !esc !ref_esc);
+  check tbool (what "same abort flag") ref_st.Cas_conc.Explore.abort_reachable
+    st.Cas_mc.Stats.abort_reachable;
+  (* with nglobals = 0 every global access escapes, so the steps of lock
+     x3's threads that another thread's γ_lock atomic block keeps from
+     being scheduled show up: the rule that blocked threads' steps are
+     checked too is exercised *)
+  if name = "lock x3" && nglobals = 0 then
+    check tbool (what "blocked threads' steps checked") true (!blocked > 0);
+  KSet.is_empty !ref_esc
+
+let test_confinement_selection_view () =
+  fresh_cache ();
+  List.iter
+    (fun (name, tgt) ->
+      match World.load tgt ~args:[] with
+      | Error e -> Alcotest.failf "%s: load: %a" name World.pp_load_error e
+      | Ok w0 ->
+        let ref_ok = compare_views ~name w0 (Genv.block_count w0.World.genv) in
+        ignore (compare_views ~name w0 0);
+        let r = Fw.check_confinement tgt in
+        check tbool (name ^ ": verdict is the reference's") ref_ok r.Fw.ok;
+        check tbool (name ^ ": only the escape program escapes")
+          (name <> "escape") r.Fw.ok)
+    (linked_programs ())
+
+let test_confinement_escape_detected () =
+  fresh_cache ();
+  let r = Fw.check_confinement escape_prog in
+  check tbool "escape fails the premise" false r.Fw.ok;
+  let prefix = "thread 2 escapes its freelist" in
+  check tbool
+    (Fmt.str "detail %S names thread 2" r.Fw.detail)
+    true
+    (String.length r.Fw.detail >= String.length prefix
+    && String.sub r.Fw.detail 0 (String.length prefix) = prefix)
+
 (* Pinned generator seed for reproducible runs, as in test_random. *)
 let qcheck_seed =
   match Sys.getenv_opt "QCHECK_SEED" with
@@ -500,5 +634,12 @@ let () =
             test_tampered_object_rejected;
           Alcotest.test_case "forged certificate rejected" `Quick
             test_certify_rejects_forged_verdict;
+        ] );
+      ( "confinement",
+        [
+          Alcotest.test_case "selection view matches preemptive" `Slow
+            test_confinement_selection_view;
+          Alcotest.test_case "escaping thread detected" `Quick
+            test_confinement_escape_detected;
         ] );
     ]
