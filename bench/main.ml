@@ -649,14 +649,17 @@ let diag () =
       progs
   in
   (* capture overhead: [Race.drf] vs [Capture.race], both exploring the
-     dpor selection view — capture adds the recorder writes and the
-     spanning-tree path reconstruction on top of the same search.
+     dpor selection view under the same state keys — capture adds the
+     recorder writes and the spanning-tree path reconstruction on top of
+     the same search. Gated: any row above [capture_gate_pct] fails the
+     section (after the shrink table has printed).
      Best-of-N minimum wall clock, not OLS means: these runs sit in the
      hundreds of microseconds where GC pauses swamp a percent-level
      comparison, and the minimum is the noise-robust estimator for a
      deterministic computation. *)
-  let rounds = 25 in
-  Fmt.pr "capture overhead over plain DRF (dpor engine, best of %d):@." rounds;
+  let rounds = 25 and capture_gate_pct = 25. in
+  Fmt.pr "capture overhead over plain DRF (dpor engine, best of %d, gate %+.0f%%):@."
+    rounds capture_gate_pct;
   Fmt.pr "  %-16s %11s %11s %9s@." "program" "drf" "capture" "overhead";
   List.iter
     (fun (name, w, _, _) ->
@@ -714,7 +717,16 @@ let diag () =
           r.Cas_diag.Shrink.sh_orig_steps r.Cas_diag.Shrink.sh_min_steps
           r.Cas_diag.Shrink.sh_orig_switches r.Cas_diag.Shrink.sh_min_switches
           r.Cas_diag.Shrink.sh_attempts)
-    worlds
+    worlds;
+  match
+    List.filter (fun (_, _, _, pct) -> pct > capture_gate_pct) !json_diag
+  with
+  | [] -> ()
+  | over ->
+    Fmt.failwith "diag: capture overhead over the %+.0f%% gate: %a"
+      capture_gate_pct
+      Fmt.(list ~sep:comma (fun ppf (n, _, _, pct) -> pf ppf "%s %+.1f%%" n pct))
+      over
 
 (* ------------------------------------------------------------------ *)
 (* link: certified object files, cold vs incremental relink, --jobs     *)
@@ -787,7 +799,20 @@ let link_section () =
           "%s relink re-verified: %d/%d cached, %d checker steps" case cached
           v steps
       | None -> ())
-    [ "incremental"; "incremental-2-threads" ]
+    [ "incremental"; "incremental-2-threads" ];
+  (* ... and skips the whole-program checks too: they are memoized by
+     the objects' content, the entries and the bounds *)
+  let ns case =
+    match List.find_opt (fun (c, _, _, _, _) -> c = case) !json_link with
+    | Some (_, ns, _, _, _) -> ns
+    | None -> Fmt.failwith "link: no %s row" case
+  in
+  let cold = ns "cold-2-threads" and incr = ns "incremental-2-threads" in
+  if incr >= cold /. 2. then
+    Fmt.failwith
+      "link: incremental-2-threads takes %.0f ns, not below half of \
+       cold-2-threads (%.0f ns)"
+      incr cold
 
 (* ------------------------------------------------------------------ *)
 (* recert: function-granular recertification after a one-function edit *)

@@ -5,8 +5,10 @@
     back to the full canonical fingerprint strings, which are
     collision-free by construction. Diffing the distinct-world counts of
     the two modes on a workload bounds the hash-collision risk
-    empirically; witnesses always digest the string path regardless of
-    this flag, so recorded witnesses replay identically in either mode. *)
+    empirically. Witness digests never read this flag: they are the hex
+    of the [Hashx] key ([World.hkey_nocur], [Tso.hkey_nocur]), so a
+    witness captured in either mode is the same bytes and replays
+    strictly in the other. *)
 
 let flag = Atomic.make false
 let set_paranoid b = Atomic.set flag b

@@ -5,7 +5,7 @@
     module provides that *thread-selection view* of the preemptive
     semantics: explicit [Gsw] switch transitions disappear, a transition
     is "thread [t] takes one local step", worlds are keyed by
-    [World.fingerprint_nocur], and footprints come straight from the
+    [World.key_nocur], and footprints come straight from the
     local semantics (Fig. 4). If a thread holds the atomic bit, only it
     is schedulable — exactly the preemptive Switch side-condition d = 0.
 

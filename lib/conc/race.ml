@@ -125,10 +125,13 @@ type drf_report = {
 (** Total selection key for a race witness: the racy world's
     scheduler-independent fingerprint, then the rendered witness tuple.
     The engines visit worlds in an order that depends on the engine and,
-    under [dpor-par], on domain interleaving — but the *set* of visited
-    worlds is the same, so picking the minimal key makes the reported
-    witness a function of the program alone, stable across engines and
-    [--jobs] values. *)
+    under [dpor-par], on domain interleaving. Picking the minimal key
+    makes the reported witness a function of the set of racy worlds
+    visited, not of the order. That set is fixed per program for [naive]
+    and [dpor], but not for [dpor-par]: on some programs its world count
+    depends on steal order (measured on DRF programs, see the casbench
+    README, "Known failure"), so a witness is stable across [--jobs] only
+    as long as every run visits the minimal racy world. *)
 let witness_key (w : World.t) ((t1, (d1, b1), t2, (d2, b2)) : int * prediction * int * prediction) : string =
   Fmt.str "%s|%d %a %b|%d %a %b" (World.fingerprint_nocur w) t1 Footprint.pp
     d1 b1 t2 Footprint.pp d2 b2

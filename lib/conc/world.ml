@@ -128,8 +128,10 @@ let fingerprint w = string_of_int w.cur ^ "|" ^ fingerprint_nocur w
 (** Cheap fixed-width state keys in the fingerprints' equivalence classes:
     per-thread memoized frame hashes plus the memory's incremental hash,
     folded into a 16-byte string. Collisions are ~2^-63 per state pair;
-    [Fpmode.paranoid] falls back to the collision-free strings, and
-    witness digests always use the string path ([Cas_diag]). *)
+    [Fpmode.paranoid] makes the engines' keys ([key_nocur], [key]) fall
+    back to the collision-free strings. Witness digests ([Cas_diag.Sem])
+    always use [hkey_nocur], which ignores that flag, so a witness is the
+    same bytes in either mode. *)
 let key_stream w =
   let st = Hashx.create () in
   IMap.iter
@@ -148,9 +150,12 @@ let key_stream w =
   Hashx.int st mh2;
   st
 
+(** The 16-byte [Hashx] key of everything but [cur], whatever the
+    [Fpmode] setting. *)
+let hkey_nocur w = Hashx.key_of (Hashx.out (key_stream w))
+
 let key_nocur w =
-  if Fpmode.paranoid () then fingerprint_nocur w
-  else Hashx.key_of (Hashx.out (key_stream w))
+  if Fpmode.paranoid () then fingerprint_nocur w else hkey_nocur w
 
 let key w =
   if Fpmode.paranoid () then fingerprint w

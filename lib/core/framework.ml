@@ -359,6 +359,35 @@ let pp_compose ppf r =
 let link_verdicts : Simulation.verdict Cas_compiler.Cache.store =
   Cas_compiler.Cache.store ~name:"LinkVerdict" ()
 
+(* Memoized whole-program link checks (confinement, boundary
+   refinement), keyed by [link_checks_key]: relinking byte-identical
+   objects with the same entries and bounds skips both explorations. *)
+let link_checks : (step_report * step_report) Cas_compiler.Cache.store =
+  Cas_compiler.Cache.store ~name:"LinkChecks" ()
+
+(** Content key of the whole-program link checks, over everything they
+    read: each module's language, per-function body digests
+    ([Lang.digest_fundef]) and globals, on both sides and in link order,
+    plus the entries, the exploration bounds, [max_switches] and
+    [tau_bound]. *)
+let link_checks_key ~bounds ~max_switches ~tau_bound
+    ~(modules : (string * Lang.modu * Lang.modu) list) ~entries =
+  let modu (Lang.Mod (l, code) as m) =
+    ( l.Lang.name,
+      List.map
+        (fun (f, arity) -> (f, arity, Lang.digest_fundef m f))
+        (Lang.defs m),
+      l.Lang.globals_of code )
+  in
+  Cas_compiler.Cache.digest
+    ( "link-checks",
+      Version.v,
+      List.map (fun (_, src, tgt) -> (modu src, modu tgt)) modules,
+      entries,
+      bounds,
+      max_switches,
+      tau_bound )
+
 (** The linked program's thread-selection view ([Engine.thread_trans]
     keyed by [World.key_nocur]) with the confinement premise checked
     inside [trans]: at each world [w], every live thread's enabled local
@@ -456,6 +485,8 @@ let check_confinement ?(max_worlds = default_bounds.max_worlds)
     need not be unique (two objects may carry the same module name with
     disjoint exports), so a key derived from the name alone could serve
     one module another's verdict.
+    The confinement and boundary checks are memoized together in
+    [link_checks] under [link_checks_key].
     [jobs > 1] fans the per-module checks out over OCaml 5 domains. *)
 let compose_certificates ?(bounds = default_bounds) ?max_switches ?tau_bound
     ?(jobs = 1)
@@ -492,19 +523,27 @@ let compose_certificates ?(bounds = default_bounds) ?max_switches ?tau_bound
   let per_module =
     List.concat (Pool.run ~jobs (List.mapi module_task modules))
   in
-  let src_prog = Lang.prog (List.map (fun (_, s, _) -> s) modules) entries in
-  let tgt_prog = Lang.prog (List.map (fun (_, _, t) -> t) modules) entries in
-  let confinement = check_confinement ~max_worlds:bounds.max_worlds tgt_prog in
-  let boundary =
+  let whole_program_checks () =
+    let src_prog = Lang.prog (List.map (fun (_, s, _) -> s) modules) entries in
+    let tgt_prog = Lang.prog (List.map (fun (_, _, t) -> t) modules) entries in
+    let confinement =
+      check_confinement ~max_worlds:bounds.max_worlds tgt_prog
+    in
     let t_np = traces_or_empty bounds Nonpreemptive.steps tgt_prog in
     let s_np = traces_or_empty bounds Nonpreemptive.steps src_prog in
     let r = Refine.refines ~lhs:t_np ~rhs:s_np in
-    {
-      id = "link";
-      label = "linked target ⊑ linked source (Lem. 6)";
-      ok = r.Refine.holds;
-      detail = Fmt.str "%a" Refine.pp_report r;
-    }
+    ( confinement,
+      {
+        id = "link";
+        label = "linked target ⊑ linked source (Lem. 6)";
+        ok = r.Refine.holds;
+        detail = Fmt.str "%a" Refine.pp_report r;
+      } )
+  in
+  let (confinement, boundary), _ =
+    Cas_compiler.Cache.find_or_add link_checks
+      (link_checks_key ~bounds ~max_switches ~tau_bound ~modules ~entries)
+      whole_program_checks
   in
   let modules_ok =
     List.for_all (fun r -> sim_ok r.cm_outcome) per_module

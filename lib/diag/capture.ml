@@ -1,8 +1,9 @@
 (** Capture: turn a negative verdict into a schedule.
 
     Race capture threads a [Cas_mc.Recorder] through the chosen engine's
-    exploration of the SC thread-selection view and, on a racy verdict,
-    reconstructs the recorded spanning-tree path to the racy world.
+    exploration of the SC thread-selection view, under the same state
+    keys as [Race.drf], and, on a racy verdict, reconstructs the recorded
+    spanning-tree path to the racy world.
     Deterministically — the racy world is chosen by minimal
     [Cas_conc.Race.witness_key] over every racy world visited, not by
     visit order — so the captured schedule is a function of the program
@@ -23,25 +24,58 @@ type race_capture = {
   rc_verdict : Witness.verdict option;
 }
 
-(** Run the race predictor over the selection view with a recorder
-    attached, and reconstruct the schedule to the minimal racy world.
-    All three engines explore the same selection system here (the naive
-    engine's historical scheduler-explicit view carries no thread ids,
-    which a schedule needs). *)
+(** The witness steps of a recorded path from [w0]: each step's target
+    is re-derived by taking the scheduled thread's local step whose
+    successor has the recorded key, and digested by [Sem.sc_digest]. The
+    recorder keys worlds by [sys]'s key, which is the fingerprint string
+    under [--paranoid-fp]; deriving digests from the worlds rather than
+    from the keys makes the witness the same bytes in either mode. Only
+    the scheduled thread's steps are enumerated, one thread per step. *)
+let steps_of_path (sys : Cas_conc.World.t Cas_mc.Mcsys.t) w0 path =
+  let rec go w acc = function
+    | [] -> List.rev acc
+    | ((s : Cas_mc.Recorder.step), child) :: rest ->
+      let tid = s.Cas_mc.Recorder.r_tid in
+      let w' =
+        List.find_map
+          (fun (tr : Cas_conc.World.t Cas_mc.Mcsys.trans) ->
+            match tr.Cas_mc.Mcsys.target with
+            | Cas_mc.Mcsys.Next w' when sys.Cas_mc.Mcsys.fingerprint w' = child
+              ->
+              Some w'
+            | _ -> None)
+          (Cas_conc.Engine.thread_trans w tid)
+      in
+      (match w' with
+      | None -> failwith "Capture.race: a recorded step is not enabled"
+      | Some w' ->
+        let step =
+          Sem.step_of_info
+            {
+              Sem.i_tid = tid;
+              i_event = Sem.event_of_label s.Cas_mc.Recorder.r_label;
+              i_fp = s.Cas_mc.Recorder.r_fp;
+              i_flush = false;
+              i_abort = false;
+              i_dst = Sem.sc_digest w';
+            }
+        in
+        go w' (step :: acc) rest)
+  in
+  go w0 [] path
+
+(** Run the race predictor with a recorder attached, and reconstruct the
+    schedule to the minimal racy world. Capture explores
+    [Engine.selection_system] as it is, under the keys [Race.drf]'s DPOR
+    engines use, so it costs a plain DRF check plus the recorder's
+    writes. All three engines explore this system here (the naive
+    engine's scheduler-explicit view carries no thread ids, which a
+    schedule needs). *)
 let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
     (w0 : Cas_conc.World.t) : race_capture =
   let recorder = Cas_mc.Recorder.create () in
   let best = ref None in
-  (* witness step digests are [Sem.digest] of the recorder's child keys,
-     so capture must explore under the full fingerprint strings, not the
-     engines' fixed-width hash keys — recorded witnesses stay stable
-     across the key representation *)
-  let sys =
-    {
-      Cas_conc.Engine.selection_system with
-      Cas_mc.Mcsys.fingerprint = Cas_conc.World.fingerprint_nocur;
-    }
-  in
+  let sys = Cas_conc.Engine.selection_system in
   let st =
     Cas_mc.Engine.reachable ~engine ?jobs ?max_worlds ~recorder sys [ w0 ]
       ~visit:(fun w ->
@@ -69,22 +103,10 @@ let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
     let steps =
       match
         Cas_mc.Recorder.path recorder
-          ~target:(Cas_conc.World.fingerprint_nocur w)
+          ~target:(sys.Cas_mc.Mcsys.fingerprint w)
       with
       | None -> [] (* unreachable: every visited world is recorded *)
-      | Some path ->
-        List.map
-          (fun ((s : Cas_mc.Recorder.step), child_fp) ->
-            Sem.step_of_info
-              {
-                Sem.i_tid = s.Cas_mc.Recorder.r_tid;
-                i_event = Sem.event_of_label s.Cas_mc.Recorder.r_label;
-                i_fp = s.Cas_mc.Recorder.r_fp;
-                i_flush = false;
-                i_abort = false;
-                i_dst = Sem.digest child_fp;
-              })
-          path
+      | Some path -> steps_of_path sys w0 path
     in
     {
       rc_report = report (Some wt) (Some w);

@@ -19,19 +19,26 @@ type info = {
   i_fp : Footprint.t;
   i_flush : bool;  (** a TSO buffer drain of thread [i_tid] *)
   i_abort : bool;  (** the transition aborts (it has no target state) *)
-  i_dst : string;  (** digest of the target world fingerprint *)
+  i_dst : string;  (** [sc_digest] or [tso_digest] of the target world *)
 }
 
 type state = {
   s_done : bool;
-  s_digest : string;  (** digest of this world's fingerprint *)
+  s_digest : string;  (** [sc_digest] or [tso_digest] of this world *)
   s_race : int -> int -> bool;
       (** does this world predict a race between the given threads? *)
   s_succ : unit -> (info * state option) list;
       (** enabled transitions; [None] target iff [i_abort] *)
 }
 
-let digest fp = Digest.to_hex (Digest.string fp)
+(** A world's digest: the hex of its 16-byte [Hashx] key without [cur]
+    ([World.hkey_nocur], [Tso.hkey_nocur]; [Digest.to_hex] prints any
+    16-byte string). It does not read [Fpmode], so witnesses are the same
+    bytes with [--paranoid-fp] on or off, and no fingerprint string is
+    built on the capture, replay or shrink paths. *)
+let sc_digest w = Digest.to_hex (Cas_conc.World.hkey_nocur w)
+
+let tso_digest w = Digest.to_hex (Cas_tso.Tso.hkey_nocur w)
 
 let info_of_step (s : Witness.step) : info =
   {
@@ -80,7 +87,7 @@ let of_world (w0 : Cas_conc.World.t) : state =
   let rec make w =
     {
       s_done = Cas_conc.World.all_done w;
-      s_digest = digest (Cas_conc.World.fingerprint_nocur w);
+      s_digest = sc_digest w;
       s_race = (fun t1 t2 -> sc_race_between w t1 t2);
       s_succ =
         (fun () ->
@@ -104,7 +111,7 @@ let of_world (w0 : Cas_conc.World.t) : state =
                     i_fp = tr.Cas_mc.Mcsys.fp;
                     i_flush = false;
                     i_abort = false;
-                    i_dst = digest (Cas_conc.World.fingerprint_nocur w');
+                    i_dst = sc_digest w';
                   },
                   Some (make w') ))
             (sys.Cas_mc.Mcsys.trans w));
@@ -121,7 +128,7 @@ let of_tso (w0 : Cas_tso.Tso.world) : state =
   let rec make w =
     {
       s_done = Cas_tso.Tso.all_done w;
-      s_digest = digest (Cas_tso.Tso.fingerprint_nocur w);
+      s_digest = tso_digest w;
       s_race = (fun _ _ -> false);
       s_succ =
         (fun () ->
@@ -145,7 +152,7 @@ let of_tso (w0 : Cas_tso.Tso.world) : state =
                     i_fp = tr.Cas_mc.Mcsys.fp;
                     i_flush = Cas_tso.Tso.is_drain w w' tr.Cas_mc.Mcsys.tid;
                     i_abort = false;
-                    i_dst = digest (Cas_tso.Tso.fingerprint_nocur w');
+                    i_dst = tso_digest w';
                   },
                   Some (make w') ))
             (sys.Cas_mc.Mcsys.trans w));

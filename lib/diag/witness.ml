@@ -7,10 +7,17 @@
 
     Each schedule step records the scheduled thread, the observable event
     (if any), the step footprint, whether it was a TSO buffer flush, and
-    [s_dst]: the digest of the *target* world's scheduler-independent
-    fingerprint. The digests make replay deterministic — when a thread
-    has several enabled transitions, the recorded target digest selects
-    the one the capture actually took (see [Replay]). *)
+    [s_dst]: the digest of the *target* world, the hex of its
+    scheduler-independent 16-byte [Hashx] key ([Sem.sc_digest],
+    [Sem.tso_digest]). The digests make replay deterministic — when a
+    thread has several enabled transitions, the recorded target digest
+    selects the one the capture actually took (see [Replay]). They do not
+    depend on [--paranoid-fp].
+
+    Format history: format 1 digested the canonical fingerprint string
+    (MD5); format 2 digests the [Hashx] key. A format-1 witness cannot be
+    replayed strictly by this version and is rejected with a request to
+    re-capture it. *)
 
 open Cas_base
 
@@ -20,7 +27,7 @@ type step = {
   s_reads : Addr.t list;
   s_writes : Addr.t list;
   s_flush : bool;  (** a TSO store-buffer drain of [s_tid]'s buffer *)
-  s_dst : string;  (** digest of the target world fingerprint; "" = any *)
+  s_dst : string;  (** digest of the target world; "" = any *)
 }
 
 type verdict =
@@ -46,7 +53,7 @@ type t = {
   steps : step list;
 }
 
-let format_version = 1
+let format_version = 2
 
 let hash_program src = Digest.to_hex (Digest.string src)
 
@@ -201,8 +208,10 @@ let of_json (j : Json.t) : (t, string) result =
     (fun j ->
       let format = Json.to_int_exn (Json.member "format" j) in
       if format <> format_version then
-        Json.decode_fail "unsupported witness format %d (expected %d)" format
-          format_version;
+        Json.decode_fail
+          "unsupported witness format %d (expected format %d): re-capture \
+           the witness with this version"
+          format format_version;
       {
         version = Json.to_str_exn (Json.member "version" j);
         format;

@@ -8,7 +8,9 @@
     is memoized in the certificate cache under a key derived from the
     object's content digests, so an unchanged object re-certifies with
     zero checker steps — across processes too, when a cache directory is
-    set ([Cas_compiler.Cache.set_default_dir]). [jobs > 1] fans the
+    set ([Cas_compiler.Cache.set_default_dir]). The whole-program
+    confinement and boundary checks are memoized the same way
+    ([Framework.link_checks_key]). [jobs > 1] fans the
     per-module checks out over OCaml 5 domains. *)
 
 open Cas_base

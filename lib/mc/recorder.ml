@@ -2,8 +2,10 @@
     exploration engines so that, once a verdict is reached at some world,
     the schedule that produced it can be reconstructed.
 
-    The recorder maps each world fingerprint to the fingerprint of the
-    world it was first reached *from*, together with the transition
+    The recorder maps each world's state key (the system's [fingerprint]
+    field: a 16-byte [Hashx] key, or the canonical string under
+    [--paranoid-fp]) to the key of the world it was first reached *from*,
+    together with the transition
     (thread id, label, footprint) that was executed — a spanning tree of
     the explored graph rooted at the initial worlds. Only the first edge
     to a world is kept ([record] is first-writer-wins), and an edge is
@@ -33,10 +35,11 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(** Declare [fp] an initial world (a root of the spanning tree). *)
-let root t fp =
+(** Declare the world keyed [key] an initial world (a root of the
+    spanning tree). *)
+let root t key =
   with_lock t (fun () ->
-      if not (Hashtbl.mem t.tbl fp) then Hashtbl.add t.tbl fp Root)
+      if not (Hashtbl.mem t.tbl key) then Hashtbl.add t.tbl key Root)
 
 (** Record that [child] was reached from [parent] by [step]. Ignored when
     [child] already has an edge (first wins) or [parent] is unknown (the
@@ -47,15 +50,15 @@ let record t ~parent (step : step) ~child =
         Hashtbl.add t.tbl child (Edge (parent, step)))
 
 (** The recorded schedule from a root to [target]: the executed steps in
-    order, each paired with the fingerprint of the world it *reaches*.
-    [None] if [target] was never recorded. *)
+    order, each paired with the key of the world it *reaches*. [None] if
+    [target] was never recorded. *)
 let path t ~target : (step * string) list option =
   with_lock t (fun () ->
-      let rec go fp acc =
-        match Hashtbl.find_opt t.tbl fp with
+      let rec go key acc =
+        match Hashtbl.find_opt t.tbl key with
         | None -> None
         | Some Root -> Some acc
-        | Some (Edge (parent, s)) -> go parent ((s, fp) :: acc)
+        | Some (Edge (parent, s)) -> go parent ((s, key) :: acc)
       in
       go target [])
 

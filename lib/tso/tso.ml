@@ -125,8 +125,9 @@ let fingerprint w = string_of_int w.cur ^ fingerprint_nocur w
 
 (** Cheap fixed-width state keys in the fingerprints' equivalence classes
     (cf. [Cas_conc.World.key]): memoized frame hashes, the store buffers,
-    and the memory's incremental hash. [Fpmode.paranoid] falls back to
-    the collision-free strings. *)
+    and the memory's incremental hash. [Fpmode.paranoid] makes [key_nocur]
+    and [key] fall back to the collision-free strings; [hkey_nocur], the
+    witness digest, ignores it. *)
 let key_stream w =
   let st = Hashx.create () in
   IMap.iter
@@ -151,9 +152,10 @@ let key_stream w =
   Hashx.int st mh2;
   st
 
+let hkey_nocur w = Hashx.key_of (Hashx.out (key_stream w))
+
 let key_nocur w =
-  if Fpmode.paranoid () then fingerprint_nocur w
-  else Hashx.key_of (Hashx.out (key_stream w))
+  if Fpmode.paranoid () then fingerprint_nocur w else hkey_nocur w
 
 let key w =
   if Fpmode.paranoid () then fingerprint w

@@ -193,7 +193,11 @@ let test_witness_roundtrip () =
 
 let test_witness_rejects_future_format () =
   let s = Witness.to_string (sample_witness ()) in
-  let s' = replace_once ~sub:"\"format\": 1" ~by:"\"format\": 99" s in
+  let s' =
+    replace_once
+      ~sub:(Fmt.str "\"format\": %d" Witness.format_version)
+      ~by:"\"format\": 99" s
+  in
   check tbool "format marker present in serialization" true (s <> s');
   match Witness.of_string s' with
   | Ok _ -> Alcotest.fail "format 99 accepted"
@@ -341,6 +345,108 @@ let test_capture_deterministic () =
   check tbool "identical schedule on re-capture" true (cap () = cap ())
 
 (* ------------------------------------------------------------------ *)
+(* Witness identity: digests are Hashx keys, format 2                   *)
+(* ------------------------------------------------------------------ *)
+
+let with_paranoid b f =
+  Fpmode.set_paranoid b;
+  Fun.protect ~finally:(fun () -> Fpmode.set_paranoid false) f
+
+(* the racy corpus programs: (name, source, entries, program) *)
+let racy_corpus () =
+  [
+    ("racy-counter", Corpus.racy_counter_src, [ "inc"; "inc" ],
+     Corpus.racy_prog ());
+    ("racy-observer", Corpus.racy_observer_writer_src, [ "writer"; "reader" ],
+     Corpus.observer_prog ());
+  ]
+
+(* a witness's bytes, with the header's engine field fixed so witnesses
+   captured by different engines compare on their schedules *)
+let witness_bytes ?(engine = Cas_mc.Engine.Dpor) ?jobs ~src ~entries p =
+  Witness.to_string
+    { (capture_witness ~engine ?jobs ~src ~entries p) with
+      Witness.engine = "any" }
+
+let test_witness_paranoid_identical () =
+  List.iter
+    (fun (name, src, entries, p) ->
+      List.iter
+        (fun engine ->
+          let plain = witness_bytes ~engine ~src ~entries p in
+          let paranoid =
+            with_paranoid true (fun () -> witness_bytes ~engine ~src ~entries p)
+          in
+          let ename = Cas_mc.Engine.to_string engine in
+          check tstr (Fmt.str "%s (%s): same bytes in both modes" name ename)
+            plain paranoid;
+          let wit =
+            match Witness.of_string plain with
+            | Ok w -> w
+            | Error e -> Alcotest.failf "%s: %s" name e
+          in
+          List.iter
+            (fun b ->
+              let o =
+                with_paranoid b (fun () ->
+                    Replay.run (Sem.of_world (world_of p)) wit)
+              in
+              check tbool
+                (Fmt.str "%s (%s): strict replay, paranoid=%b (%s)" name ename
+                   b o.Replay.detail)
+                true o.Replay.ok)
+            [ false; true ])
+        [ Cas_mc.Engine.Naive; Cas_mc.Engine.Dpor ])
+    (racy_corpus ())
+
+let test_witness_engines_identical () =
+  List.iter
+    (fun (name, src, entries, p) ->
+      let naive = witness_bytes ~engine:Cas_mc.Engine.Naive ~src ~entries p in
+      let dpor = witness_bytes ~engine:Cas_mc.Engine.Dpor ~src ~entries p in
+      let par =
+        witness_bytes ~engine:Cas_mc.Engine.Dpor_par ~jobs:2 ~src ~entries p
+      in
+      check tstr (name ^ ": naive = dpor") naive dpor;
+      check tstr (name ^ ": dpor-par(2) = dpor") dpor par)
+    (racy_corpus ())
+
+let test_witness_digests_are_keys () =
+  let p = Corpus.racy_prog () in
+  let wit =
+    capture_witness ~src:Corpus.racy_counter_src ~entries:[ "inc"; "inc" ] p
+  in
+  let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
+  List.iter
+    (fun (s : Witness.step) ->
+      check tint "32 hex digits" 32 (String.length s.Witness.s_dst);
+      check tbool "lower-case hex" true (String.for_all is_hex s.Witness.s_dst))
+    wit.Witness.steps;
+  (* the last step lands on the racy world the report names *)
+  let rc = Capture.race ~engine:Cas_mc.Engine.Dpor (world_of p) in
+  match (List.rev wit.Witness.steps, rc.Capture.rc_report.Cas_conc.Race.witness_world) with
+  | last :: _, Some w ->
+    check tstr "last digest is the racy world's"
+      (Sem.sc_digest w)
+      last.Witness.s_dst
+  | _ -> Alcotest.fail "expected a racy world and a nonempty schedule"
+
+let test_witness_format1_rejected () =
+  let v1 =
+    {|{"version": "0.1", "format": 1, "program": "int x = 0;", "entries": ["inc"],
+  "with_lock": false, "prog_hash": "00", "semantics": "sc", "engine": "dpor",
+  "seed": 0, "verdict": {"kind": "race", "tid1": 1, "tid2": 2},
+  "steps": [{"tid": 1, "reads": ["0.0"], "dst": "0123456789abcdef0123456789abcdef"}]}|}
+  in
+  match Witness.of_string v1 with
+  | Ok _ -> Alcotest.fail "format-1 witness accepted"
+  | Error e ->
+    check tbool (Fmt.str "error names format 2 (%s)" e) true
+      (contains ~sub:"format 2" e);
+    check tbool (Fmt.str "error asks to re-capture (%s)" e) true
+      (contains ~sub:"re-capture" e)
+
+(* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -467,6 +573,50 @@ let test_tso_abort_capture_and_replay () =
     check tbool (Fmt.str "abort replay ok (%s)" o.Replay.detail) true
       o.Replay.ok
 
+(* TSO witnesses digest [Tso.hkey_nocur]: a refine and an abort witness
+   replay strictly in both [Fpmode] settings, and the schedule search
+   finds the same bytes in either *)
+let test_tso_digests_mode_independent () =
+  let sb () = Sem.of_tso (tso_world [ sb_module ] [ "t1"; "t2" ]) in
+  let snoop () =
+    Sem.of_tso (tso_world [ snoop_client; Cas_tso.Locks.pi_lock ] [ "snoop" ])
+  in
+  let target = [ Event.Print 0; Event.Print 0 ] in
+  let refine () =
+    match Capture.schedule_for_events (sb ()) ~events:target () with
+    | None -> Alcotest.fail "no schedule for the TSO-only trace"
+    | Some steps ->
+      Witness.make ~program:"(sb)" ~entries:[ "t1"; "t2" ] ~with_lock:false
+        ~semantics:Witness.Tso ~engine:"search" ~seed:0
+        ~verdict:(Witness.Vrefine target) steps
+  in
+  let abort () =
+    match Capture.schedule_to_abort (snoop ()) () with
+    | None -> Alcotest.fail "confinement abort not found"
+    | Some steps ->
+      Witness.make ~program:"(snoop)" ~entries:[ "snoop" ] ~with_lock:false
+        ~semantics:Witness.Tso ~engine:"search" ~seed:0 ~verdict:Witness.Vabort
+        steps
+  in
+  List.iter
+    (fun (name, capture, s0) ->
+      let plain = capture () in
+      let paranoid = with_paranoid true capture in
+      check tstr (name ^ ": same bytes in both modes")
+        (Witness.to_string plain) (Witness.to_string paranoid);
+      check tbool (name ^ ": digests present") true
+        (List.exists (fun (s : Witness.step) -> s.Witness.s_dst <> "")
+           plain.Witness.steps);
+      List.iter
+        (fun b ->
+          let o = with_paranoid b (fun () -> Replay.run (s0 ()) (roundtrip plain)) in
+          check tbool
+            (Fmt.str "%s: strict replay, paranoid=%b (%s)" name b
+               o.Replay.detail)
+            true o.Replay.ok)
+        [ false; true ])
+    [ ("refine", refine, sb); ("abort", abort, snoop) ]
+
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -523,6 +673,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_witness_roundtrip;
           Alcotest.test_case "future format rejected" `Quick
             test_witness_rejects_future_format;
+          Alcotest.test_case "format 1 rejected" `Quick
+            test_witness_format1_rejected;
           QCheck_alcotest.to_alcotest prop_witness_roundtrip;
         ] );
       ( "capture-replay",
@@ -544,6 +696,12 @@ let () =
             test_witness_deterministic_across_engines;
           Alcotest.test_case "re-capture identical" `Quick
             test_capture_deterministic;
+          Alcotest.test_case "paranoid-fp independent" `Quick
+            test_witness_paranoid_identical;
+          Alcotest.test_case "naive, dpor, dpor-par identical" `Quick
+            test_witness_engines_identical;
+          Alcotest.test_case "digests are Hashx keys" `Quick
+            test_witness_digests_are_keys;
         ] );
       ( "shrink",
         [
@@ -557,6 +715,8 @@ let () =
             test_tso_refine_capture_and_replay;
           Alcotest.test_case "abort schedule" `Quick
             test_tso_abort_capture_and_replay;
+          Alcotest.test_case "digests independent of paranoid-fp" `Quick
+            test_tso_digests_mode_independent;
         ] );
       ( "export",
         [

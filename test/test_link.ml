@@ -379,6 +379,46 @@ let test_same_name_disjoint_relink () =
           (m.cm_entry = "f") m.cm_cached)
       r.Cascompcert.Framework.comp_modules
 
+(* The whole-program link checks (confinement, boundary refinement) are
+   memoized by everything they read: an identical relink is served from
+   the cache with the same reports, and changing one function, the entry
+   list or [max_worlds] runs them again. *)
+let test_link_checks_memo () =
+  fresh_cache ();
+  let o_f = build "f" f_src and o_g = build "g" g_src in
+  let o_h = build "h" {| void h() { print(5); } |} in
+  let module F = Cascompcert.Framework in
+  let link ?bounds ~entries objs =
+    let before = Cas_compiler.Cache.stats F.link_checks in
+    let out =
+      match Linker.link ~certify:true ?bounds ~entries objs with
+      | Ok o -> o
+      | Error e -> Alcotest.failf "link: %a" Linker.pp_error e
+    in
+    let after = Cas_compiler.Cache.stats F.link_checks in
+    let r = Option.get out.lk_compose in
+    ( (after.hits - before.hits, after.misses - before.misses),
+      (r.F.comp_confinement, r.F.comp_boundary) )
+  in
+  let expect what (hits, misses) ((h, m), _) =
+    check tint (what ^ ": hits") hits h;
+    check tint (what ^ ": misses") misses m
+  in
+  let one = [ "f" ] and two = [ "f"; "h" ] in
+  let cold = link ~entries:one [ o_f; o_g; o_h ] in
+  expect "cold link" (0, 1) cold;
+  let warm = link ~entries:one [ o_f; o_g; o_h ] in
+  expect "identical relink" (1, 0) warm;
+  check tbool "relink serves the same reports" true (snd cold = snd warm);
+  let o_g' = build "g" {| void g(int p) { *p = 4; } |} in
+  expect "one function changed" (0, 1) (link ~entries:one [ o_f; o_g'; o_h ]);
+  expect "entry list changed" (0, 1) (link ~entries:two [ o_f; o_g; o_h ]);
+  expect "max_worlds changed" (0, 1)
+    (link
+       ~bounds:{ F.default_bounds with F.max_worlds = 5_000 }
+       ~entries:one [ o_f; o_g; o_h ]);
+  expect "original link still cached" (1, 0) (link ~entries:one [ o_f; o_g; o_h ])
+
 let test_tampered_object_rejected () =
   fresh_cache ();
   let o_f = build "f" f_src in
@@ -630,6 +670,8 @@ let () =
             test_incremental_relink;
           Alcotest.test_case "same-named objects keyed separately" `Slow
             test_same_name_disjoint_relink;
+          Alcotest.test_case "link checks memoized" `Slow
+            test_link_checks_memo;
           Alcotest.test_case "tampered object rejected" `Quick
             test_tampered_object_rejected;
           Alcotest.test_case "forged certificate rejected" `Quick
